@@ -1,6 +1,7 @@
 // Shared helpers for the benchmark binaries. Every bench prints markdown
-// tables whose shape matches the per-experiment index in EXPERIMENTS.md,
-// and (via bench/baseline.hpp) dumps machine-readable metrics with --json.
+// tables for its experiment (the T1–T12 set listed under "Benchmarks" in
+// README.md), and (via bench/baseline.hpp) dumps machine-readable metrics
+// with --json.
 #pragma once
 
 #include <algorithm>

@@ -14,7 +14,7 @@
 //
 // Code comments "L<k>" refer to the paper's Algorithm 2 line numbers. Layer
 // invariants and deviations from the paper: docs/ARCHITECTURE.md (§core,
-// design notes 1-5).
+// design notes 1-5 and 17).
 #pragma once
 
 #include <algorithm>
@@ -29,6 +29,7 @@
 
 #include "core/types.hpp"
 #include "core/version_gate.hpp"
+#include "core/witness_adoption.hpp"
 #include "registers/space.hpp"
 #include "runtime/process.hpp"
 
@@ -232,20 +233,10 @@ class AuthenticatedRegister {
       ri[1] = r1;  // r1 participates in the count "1 <= i <= n" of L33
       for (int i = 2; i <= cfg_.n; ++i)
         ri[static_cast<std::size_t>(i)] = witness_[i]->read();
-      // L33-34: become a witness of v if the writer wrote v, or f+1
-      // processes (including possibly the writer) are witnesses of v.
-      ValueSet candidates;
-      for (int i = 1; i <= cfg_.n; ++i)
-        candidates.insert(ri[static_cast<std::size_t>(i)].begin(),
-                          ri[static_cast<std::size_t>(i)].end());
-      for (const V& v : candidates) {
-        int count = 0;
-        for (int i = 1; i <= cfg_.n; ++i)
-          if (ri[static_cast<std::size_t>(i)].contains(v)) ++count;
-        if (r1.contains(v) || count >= cfg_.f + 1)
-          witness_[j]->update([&](ValueSet& s) { s.insert(v); });  // L34
-      }
-      rj = witness_[j]->read();  // L35
+      // L33-35: become a witness of v if the writer wrote v, or f+1
+      // processes (including possibly the writer) are witnesses of v; then
+      // r_j <- R_j.
+      rj = detail::adopt_witnessed(*witness_[j], ri, j, cfg_.f, gate);
     } else {
       // For j = 1 the writer answers with the values of its own R_1
       // (Lemma 103, case j = 1).

@@ -18,7 +18,7 @@
 //
 // Code comments "L<k>" refer to the paper's Algorithm 1 line numbers. Layer
 // invariants and deviations from the paper: docs/ARCHITECTURE.md (§core,
-// design notes 1-5).
+// design notes 1-5 and 17).
 #pragma once
 
 #include <concepts>
@@ -33,6 +33,7 @@
 
 #include "core/types.hpp"
 #include "core/version_gate.hpp"
+#include "core/witness_adoption.hpp"
 #include "registers/space.hpp"
 #include "runtime/process.hpp"
 
@@ -251,23 +252,10 @@ class VerifiableRegister {
     for (int i = 1; i <= cfg_.n; ++i)
       r[static_cast<std::size_t>(i)] = witness_[i]->read();
 
-    // L31-32: become a witness of v if the writer signed v (v ∈ r1) or at
-    // least f+1 processes are already witnesses of v.
-    ValueSet candidates;
-    for (int i = 1; i <= cfg_.n; ++i)
-      candidates.insert(r[static_cast<std::size_t>(i)].begin(),
-                        r[static_cast<std::size_t>(i)].end());
-    for (const V& v : candidates) {
-      int count = 0;
-      for (int i = 1; i <= cfg_.n; ++i)
-        if (r[static_cast<std::size_t>(i)].contains(v)) ++count;
-      if (r[1].contains(v) || count >= cfg_.f + 1) {
-        witness_[j]->update([&](ValueSet& rj) { rj.insert(v); });  // L32
-      }
-    }
-
-    // L33: r_j <- R_j.
-    const ValueSet rj = witness_[j]->read();
+    // L31-33: become a witness of v if the writer signed v (v ∈ r1) or at
+    // least f+1 processes are already witnesses of v; then r_j <- R_j.
+    const ValueSet rj =
+        detail::adopt_witnessed(*witness_[j], r, j, cfg_.f, gate);
     // L34-36: answer each asker and remember the round we served.
     for (int k : askers) {
       channel_[j][k]->write({rj, ck[k]});  // L35

@@ -1,5 +1,6 @@
 // Markdown table printer shared by all benchmark binaries, so every
-// experiment in EXPERIMENTS.md renders a uniform, copy-pastable table.
+// experiment of the T1–T12 set (README.md, "Benchmarks") renders a uniform,
+// copy-pastable table.
 #pragma once
 
 #include <cstdio>

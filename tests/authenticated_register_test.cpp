@@ -2,14 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/authenticated_register.hpp"
 #include "core/system.hpp"
 #include "runtime/harness.hpp"
 #include "util/rng.hpp"
+#include "witness_probe.hpp"
 
 namespace swsig::core {
 namespace {
@@ -158,6 +161,71 @@ TEST(Authenticated, ReadNeverReturnsUnverifiableValue) {
   h.start();
   h.join();
   EXPECT_FALSE(violation.load());
+}
+
+// Design note 17, Algorithm 2 (L33-35): a free-mode help round writes R_j
+// at most once, and not at all when R_j already holds every qualifying
+// value.
+TEST(Authenticated, HelpRoundWritesWitnessSetOnlyToAdopt) {
+  Sys sys(cfg(4, 1));
+  Reg& reg = sys.alg();
+  std::set<int> written{0};  // v0 counts as signed
+  sys.as(1, [&](Reg& r) {
+    for (int v = 1; v <= 64; ++v) {
+      r.write(v);
+      written.insert(v);
+    }
+  });
+  for (int v = 1; v <= 64; ++v)
+    ASSERT_TRUE(sys.as(2 + v % 3, [v](Reg& r) { return r.verify(v); }));
+  // A false Verify bumps C_k, so every helper runs a round and adopts
+  // whatever it still lacks.
+  EXPECT_FALSE(sys.as(2, [](Reg& r) { return r.verify(1000); }));
+  ASSERT_TRUE(test_support::witnesses_hold(reg, written));
+
+  const auto before = test_support::witness_versions(reg);
+  EXPECT_FALSE(sys.as(3, [](Reg& r) { return r.verify(1001); }));
+  EXPECT_EQ(test_support::witness_versions(reg), before);
+
+  sys.as(1, [](Reg& r) { r.write(65); });
+  EXPECT_TRUE(sys.as(4, [](Reg& r) { return r.verify(65); }));
+  ASSERT_TRUE(test_support::witnesses_hold(reg, std::set<int>{65}));
+  const auto after = test_support::witness_versions(reg);
+  for (int j = 2; j <= 4; ++j) EXPECT_EQ(after[j], before[j] + 1) << "R" << j;
+}
+
+// Soundness of the batched adoption: a Byzantine p4 fills its own R_4 with
+// unwritten values and claims them to every asker while p1 writes others;
+// no honest R_j may adopt a value only one witness holds.
+TEST(Authenticated, PlantedWitnessValuesAreNeverAdopted) {
+  std::set<int> planted;  // outlives the system, which joins p4's thread
+  for (int v = 1000; v < 1032; ++v) planted.insert(v);
+  std::atomic<bool> planting_done{false};
+  Sys sys(cfg(4, 1), HelperOptions{.exclude = {4}});
+  Reg& reg = sys.alg();
+  sys.spawn(4, [&](std::stop_token st) {
+    auto raw = reg.raw();
+    for (int v : planted)
+      (*raw.witness)[4]->update([v](Reg::ValueSet& s) { s.insert(v); });
+    planting_done = true;
+    while (!st.stop_requested()) {
+      for (int k = 2; k <= 3; ++k)
+        (*raw.channel)[4][k]->write({planted, (*raw.round)[k]->read()});
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  sys.as(1, [](Reg& r) {
+    for (int v = 1; v <= 64; ++v) r.write(v);
+  });
+  while (!planting_done) std::this_thread::yield();
+  for (int v = 1; v <= 64; ++v)
+    EXPECT_TRUE(sys.as(2 + v % 2, [v](Reg& r) { return r.verify(v); }));
+  for (int v : planted)
+    for (int k = 2; k <= 3; ++k)
+      EXPECT_FALSE(sys.as(k, [v](Reg& r) { return r.verify(v); }));
+  for (int j = 2; j <= 3; ++j)
+    for (int v : (*reg.raw().witness)[j]->read())
+      EXPECT_FALSE(planted.contains(v)) << "R" << j << " adopted " << v;
 }
 
 // Property sweep over (n, f, seed): random write/verify workloads.

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/system.hpp"
@@ -126,16 +127,24 @@ TEST_P(TestOrSetAllBackends, NoSetMeansAllTestsZero) {
 }
 
 // Concurrent Set and Test storm: once any tester sees 1, all later testers
-// see 1 (relay under concurrency).
+// see 1 (relay under concurrency). Each tester's last Test starts after the
+// Set returned, so it must see 1; the storm alone can finish before the
+// setter thread is even scheduled.
 TEST_P(TestOrSetAllBackends, ConcurrentRelayConsistency) {
   TestOrSetSystem sys(GetParam(), 4, 1);
   std::atomic<bool> one_seen{false};
   std::atomic<bool> violation{false};
+  std::atomic<bool> set_done{false};
   runtime::Harness h;
-  h.spawn(1, "op", [&](std::stop_token) { sys.tos().set(); });
+  h.spawn(1, "op", [&](std::stop_token) {
+    sys.tos().set();
+    set_done = true;
+  });
   for (int k = 2; k <= 4; ++k) {
     h.spawn(k, "op", [&](std::stop_token) {
-      for (int i = 0; i < 25; ++i) {
+      for (int i = 0; i <= 25; ++i) {
+        if (i == 25)
+          while (!set_done.load()) std::this_thread::yield();
         const bool before = one_seen.load();
         const int r = sys.tos().test();
         if (r == 1) one_seen = true;
