@@ -13,12 +13,12 @@
 // echoes (or f+1 matching witnesses while helping), and the writer's
 // Write(v) returns only after n−f witnesses hold v.
 //
-// Code comments "L<k>" refer to the paper's Algorithm 3 line numbers. Layer
-// invariants and deviations from the paper: docs/ARCHITECTURE.md (§core,
-// design notes 1-5).
+// Code comments "L<k>" refer to the paper's Algorithm 3 line numbers. The
+// helping round (R_ij, C_k) is core/help_channels.hpp. Layer invariants
+// and deviations from the paper: docs/ARCHITECTURE.md (§core, design notes
+// 1-5 and 18).
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -28,15 +28,17 @@
 #include <utility>
 #include <vector>
 
+#include "core/help_channels.hpp"
 #include "core/types.hpp"
 #include "core/version_gate.hpp"
 #include "registers/space.hpp"
-#include "runtime/process.hpp"
 
 namespace swsig::core {
 
 template <RegisterValue V, typename SpaceT = registers::Space>
 class StickyRegister {
+  using Help = detail::HelpChannels<SpaceT, std::optional<V>>;
+
  public:
   // Register types of the underlying substrate (shared-memory Space or
   // msgpass::EmulatedSpace) — the algorithm is substrate-generic.
@@ -47,19 +49,7 @@ class StickyRegister {
 
   using Value = V;
   using Slot = std::optional<V>;  // ⊥ is std::nullopt
-  using HelpTuple = std::pair<Slot, RoundCounter>;  // ⟨u_j, c_j⟩
-  using ChannelCache = detail::VersionedCache<HelpTuple>;
-
-  // See VerifiableRegister::kVersionGate — free-mode fast paths, compiled
-  // out for substrates without versions.
-  static constexpr bool kVersionGate =
-      requires(SpaceT& s, SwsrT<HelpTuple>& c, SwmrT<Slot>& e,
-               SwmrT<RoundCounter>& r) {
-        { s.free_mode() } -> std::convertible_to<bool>;
-        { c.version() } -> std::convertible_to<std::uint64_t>;
-        { e.version() } -> std::convertible_to<std::uint64_t>;
-        { r.version() } -> std::convertible_to<std::uint64_t>;
-      };
+  using HelpTuple = typename Help::HelpTuple;  // ⟨u_j, c_j⟩
 
   struct Config {
     int n = 4;
@@ -68,27 +58,19 @@ class StickyRegister {
   };
 
   StickyRegister(SpaceT& space, Config config)
-      : space_(&space), cfg_(std::move(config)) {
-    check_resilience(cfg_.n, cfg_.f, cfg_.allow_suboptimal);
+      : cfg_(std::move(config)),
+        help_(space, check_resilience(cfg_.n, cfg_.f, cfg_.allow_suboptimal)) {
     const int n = cfg_.n;
     echo_.resize(n + 1, nullptr);
     witness_.resize(n + 1, nullptr);
-    channel_.assign(n + 1, std::vector<SwsrT<HelpTuple>*>(n + 1));
-    round_.resize(n + 1, nullptr);
-    help_state_.resize(n + 1);
     for (int i = 1; i <= n; ++i) {
       echo_[i] = &space.template make_swmr<Slot>(i, std::nullopt,
                                         "E" + std::to_string(i));
       witness_[i] = &space.template make_swmr<Slot>(i, std::nullopt,
                                            "R" + std::to_string(i));
-      for (int j = 2; j <= n; ++j)
-        channel_[i][j] = &space.template make_swsr<HelpTuple>(
-            i, j, {std::nullopt, 0},
-            "R" + std::to_string(i) + "," + std::to_string(j));
+      help_.make_channels(i, std::nullopt);
     }
-    for (int k = 2; k <= n; ++k)
-      round_[k] =
-          &space.template make_swmr<RoundCounter>(k, 0, "C" + std::to_string(k));
+    help_.make_counters();
   }
 
   const Config& config() const { return cfg_; }
@@ -99,12 +81,12 @@ class StickyRegister {
   // processes are witnesses of v (see §9.1 for why the wait is necessary).
   // Termination relies on helpers running for all correct processes.
   void write(const V& v) {
-    require_self(1, "Write");
+    help_.require_self(1, "Write");
     if (echo_[1]->read().has_value()) return;  // L1: already wrote once
     echo_[1]->write(Slot{v});                  // L2: E1 <- v
     // Free mode: re-read only witness slots whose version moved while
     // awaiting the quorum (observationally equivalent, fewer metered reads).
-    detail::VersionedCache<Slot> cache(fast_path() ? cfg_.n : 0);
+    detail::VersionedCache<Slot> cache(help_.fast_path() ? cfg_.n : 0);
     for (;;) {                                 // L3-5: await n−f witnesses
       int count = 0;
       for (int i = 1; i <= cfg_.n; ++i) {
@@ -122,7 +104,7 @@ class StickyRegister {
   // Read() — L7-22. Caller must be bound as a reader p2..pn. Returns the
   // unique written value, or std::nullopt for ⊥.
   Slot read() {
-    const int k = require_reader("Read");
+    const int k = help_.require_reader("Read");
     // Free-mode fast path: scan the witness registers directly. If some v
     // holds >= n−f witness slots, return it without entering the round
     // protocol (no counter bump, no helper wakeup). Sound because at most
@@ -131,106 +113,63 @@ class StickyRegister {
     // and honest witness slots are write-once — so a second value's quorum
     // is impossible at any time. The value returned satisfies exactly the
     // L20-21 return condition (n−f distinct processes witnessing v), read
-    // from the same registers the helpers would have relayed. ⊥ results
-    // MUST still use the full protocol: concluding "no write" requires
-    // f+1 distinct processes asserting ⊥ *after* the read began (L22),
-    // which only the round counter provides.
-    if (fast_path()) {
+    // from the same registers the helpers would have relayed. The scan is
+    // position-independent, so it also runs while waiting on helpers. ⊥
+    // results MUST still use the full protocol: concluding "no write"
+    // requires f+1 distinct processes asserting ⊥ *after* the read began
+    // (L22), which only the round counter provides.
+    if (help_.fast_path()) {
       if (Slot v = witness_scan(); v.has_value()) return v;
     }
-    std::set<int> set_bot;       // set⊥  — L7
-    std::map<int, V> setval;     // setval as pj -> value
-    // Free-mode cached channel collection — see VerifiableRegister::verify.
-    ChannelCache cache(fast_path() ? cfg_.n : 0);
-    for (;;) {                   // L8
-      const RoundCounter ck =
-          round_[k]->update([](RoundCounter& c) { ++c; });  // L9
-      // L10: S = processes in neither set.
-      // L11-14: repeat reading R_jk of every p_j ∈ S until some c_j >= Ck.
-      int chosen = 0;
-      HelpTuple chosen_tuple;
-      while (chosen == 0) {
-        for (int j = 1; j <= cfg_.n; ++j) {
-          if (set_bot.contains(j) || setval.contains(j)) continue;
-          if (cache.enabled()) {
-            const HelpTuple& t = cache.fetch(j, *channel_[j][k]);
-            if (t.second >= ck) {
-              chosen = j;
-              chosen_tuple = t;
-              break;
-            }
-            continue;
+    std::set<int> set_bot;    // set⊥  — L7
+    std::map<int, V> setval;  // setval as pj -> value
+    // L8-14 (HelpChannels::ask): each round bumps C_k and waits for an
+    // answer u_j from some p_j in S, the processes in neither set (L10).
+    return help_.ask(
+        k,
+        [&](int j) { return set_bot.contains(j) || setval.contains(j); },
+        [&](int j, const Slot& uj) -> std::optional<Slot> {
+          if (uj.has_value()) {      // L15: u_j != ⊥
+            setval.emplace(j, *uj);  // L16
+            set_bot.clear();         // L17
+          } else {                   // L18
+            set_bot.insert(j);       // L19
           }
-          HelpTuple t = channel_[j][k]->read();  // L13
-          if (t.second >= ck && chosen == 0) {   // L14
-            chosen = j;
-            chosen_tuple = std::move(t);
-          }
-        }
-        if (chosen == 0) {
-          // While waiting on helpers, the witness quorum may complete —
-          // the scan's soundness argument is position-independent.
-          if (fast_path()) {
-            if (Slot v = witness_scan(); v.has_value()) return v;
-          }
-          std::this_thread::yield();
-        }
-      }
-      if (chosen_tuple.first.has_value()) {          // L15: u_j != ⊥
-        setval.emplace(chosen, *chosen_tuple.first); // L16
-        set_bot.clear();                             // L17
-      } else {                                       // L18
-        set_bot.insert(chosen);                      // L19
-      }
-      // L20-21: some value witnessed by n−f processes in setval?
-      std::map<V, int> tally;
-      for (const auto& [pj, u] : setval) ++tally[u];
-      for (const auto& [u, cnt] : tally)
-        if (cnt >= cfg_.n - cfg_.f) return Slot{u};
-      if (static_cast<int>(set_bot.size()) > cfg_.f)  // L22
-        return std::nullopt;
-    }
+          // L20-21: some value witnessed by n−f processes in setval?
+          std::map<V, int> tally;
+          for (const auto& [pj, u] : setval) ++tally[u];
+          for (const auto& [u, cnt] : tally)
+            if (cnt >= cfg_.n - cfg_.f) return Slot{u};
+          if (static_cast<int>(set_bot.size()) > cfg_.f)  // L22: ⊥
+            return std::optional<Slot>(std::in_place);
+          return std::nullopt;
+        },
+        [&]() -> std::optional<Slot> {
+          if (Slot v = witness_scan(); v.has_value()) return v;
+          return std::nullopt;
+        });
   }
 
   // ------------------------------------------------------------- helping
 
   // One iteration of the while-loop body of Help() — L24-40.
   bool help_round() {
-    const int j = runtime::ThisProcess::id();
-    if (j < 1 || j > cfg_.n)
-      throw std::logic_error("Help requires a thread bound to p1..pn");
-    HelpState& hs = help_state_[static_cast<std::size_t>(j)];
-
-    // Version-gated wakeup (free mode). Unlike Algorithms 1-2, the sticky
-    // helper does echo/witness work (L25-30) even without askers, so the
-    // aggregate covers every input register of the round: echoes, witness
-    // slots, and round counters. If none changed since our last completed
-    // round, re-running the round would repeat the identical decisions and
-    // writes we already made — skip it. Our own writes during a round bump
-    // the aggregate, which costs at most one extra (idle) round before the
-    // state quiesces.
-    //
-    // Once this helper has both echoed and witnessed, L25-30 and L34-36
-    // are permanent no-ops (its slots are write-once and already set), so
-    // the only inputs that can still demand work are the round counters —
-    // the aggregate shrinks from 3n−1 version reads to n−1. The helper
-    // keeps serving askers forever; settling only prunes the wakeup scan.
-    const bool gate = fast_path();
-    std::uint64_t agg = 0;
-    if (gate) {
-      const bool settled_now =
-          hs.settled ||
-          (echo_[j]->read().has_value() && witness_[j]->read().has_value());
-      if (settled_now != hs.settled) {
-        hs.settled = settled_now;
-        hs.agg_valid = false;  // aggregate composition changed
-      }
-      if (!hs.settled)
-        for (int i = 1; i <= cfg_.n; ++i)
-          agg += slot_version(echo_, i) + slot_version(witness_, i);
-      for (int k = 2; k <= cfg_.n; ++k) agg += round_version(k);
-      if (hs.agg_valid && agg == hs.round_agg) return false;
-    }
+    // Version gate (HelpChannels::wake, design note 18). Unlike Algorithms
+    // 1-2, this helper does echo/witness work (L25-30) even without askers,
+    // so its gate also sums the echo and witness-slot versions, until it
+    // has both echoed and witnessed: then L25-30 and L34-36 are permanent
+    // no-ops (its slots are write-once) and only the round counters can
+    // still demand work.
+    const auto round = help_.wake([&](int j) -> std::optional<std::uint64_t> {
+      if (echo_[j]->read().has_value() && witness_[j]->read().has_value())
+        return std::nullopt;
+      std::uint64_t agg = 0;
+      for (int i = 1; i <= cfg_.n; ++i)
+        agg += Help::version(*echo_[i]) + Help::version(*witness_[i]);
+      return agg;
+    });
+    if (!round) return false;
+    const int j = round->j;
 
     // L25-27: echo the first value seen in E1. The conditional update keeps
     // this race-free against p1's own Write (see Swmr::update). Writing ⊥
@@ -264,42 +203,26 @@ class StickyRegister {
       }
     }
 
-    // L31-32: find askers.
-    std::map<int, RoundCounter> ck;
-    for (int k = 2; k <= cfg_.n; ++k) ck[k] = round_[k]->read();
-    std::vector<int> askers;
-    for (int k = 2; k <= cfg_.n; ++k)
-      if (ck[k] > hs.prev_ck[k]) askers.push_back(k);
-    if (askers.empty()) {  // L33
-      if (gate) hs.record_agg(agg);
-      return false;
-    }
-
-    // L34-36: second chance to witness, via f+1 matching witnesses.
-    if (!witness_[j]->read().has_value()) {
-      std::map<V, int> tally;
-      for (int i = 1; i <= cfg_.n; ++i) {
-        const Slot ri = witness_[i]->read();  // L35
-        if (ri.has_value()) ++tally[*ri];
-      }
-      for (const auto& [v, cnt] : tally) {
-        if (cnt >= cfg_.f + 1) {              // L36
-          witness_[j]->update([&](Slot& rj) {
-            if (!rj.has_value()) rj = v;
-          });
-          break;
+    // L31-33: find askers; L38-40: answer them.
+    return help_.serve(*round, [&] {
+      // L34-36: second chance to witness, via f+1 matching witnesses.
+      if (!witness_[j]->read().has_value()) {
+        std::map<V, int> tally;
+        for (int i = 1; i <= cfg_.n; ++i) {
+          const Slot ri = witness_[i]->read();  // L35
+          if (ri.has_value()) ++tally[*ri];
+        }
+        for (const auto& [v, cnt] : tally) {
+          if (cnt >= cfg_.f + 1) {              // L36
+            witness_[j]->update([&](Slot& rj) {
+              if (!rj.has_value()) rj = v;
+            });
+            break;
+          }
         }
       }
-    }
-
-    const Slot rj = witness_[j]->read();  // L37
-    // L38-40: answer each asker.
-    for (int k : askers) {
-      channel_[j][k]->write({rj, ck[k]});  // L39
-      hs.prev_ck[k] = ck[k];               // L40
-    }
-    if (gate) hs.record_agg(agg);
-    return true;
+      return witness_[j]->read();  // L37
+    });
   }
 
   // --------------------------------------------------- fault injection API
@@ -309,20 +232,11 @@ class StickyRegister {
     std::vector<std::vector<SwsrT<HelpTuple>*>>* channel;  // R_ij
     std::vector<SwmrT<RoundCounter>*>* round;  // C_k
   };
-  Raw raw() { return Raw{&echo_, &witness_, &channel_, &round_}; }
+  Raw raw() {
+    return Raw{&echo_, &witness_, &help_.channels(), &help_.counters()};
+  }
 
  private:
-  struct HelpState {
-    std::map<int, RoundCounter> prev_ck;  // L23
-    std::uint64_t round_agg = 0;  // aggregate version at last completed round
-    bool agg_valid = false;
-    bool settled = false;  // own echo+witness set; agg is round counters only
-    void record_agg(std::uint64_t agg) {
-      round_agg = agg;
-      agg_valid = true;
-    }
-  };
-
   // Free-mode quorum scan over the witness registers; Slot{v} iff some v
   // holds >= n−f slots right now (see read() for the soundness argument).
   Slot witness_scan() {
@@ -334,50 +248,11 @@ class StickyRegister {
     return std::nullopt;
   }
 
-  bool fast_path() const {
-    if constexpr (kVersionGate)
-      return space_->free_mode();
-    else
-      return false;
-  }
-
-  std::uint64_t round_version(int k) const {
-    if constexpr (kVersionGate)
-      return round_[static_cast<std::size_t>(k)]->version();
-    else
-      return 0;
-  }
-
-  std::uint64_t slot_version(const std::vector<SwmrT<Slot>*>& regs,
-                             int i) const {
-    if constexpr (kVersionGate)
-      return regs[static_cast<std::size_t>(i)]->version();
-    else
-      return 0;
-  }
-
-  void require_self(int pid, const char* op) const {
-    if (runtime::ThisProcess::id() != pid)
-      throw std::logic_error(std::string(op) + " may only be called by p" +
-                             std::to_string(pid));
-  }
-  int require_reader(const char* op) const {
-    const int k = runtime::ThisProcess::id();
-    if (k < 2 || k > cfg_.n)
-      throw std::logic_error(std::string(op) +
-                             " may only be called by a reader p2..pn");
-    return k;
-  }
-
-  SpaceT* space_;
   Config cfg_;
 
   std::vector<SwmrT<Slot>*> echo_;     // E_i
   std::vector<SwmrT<Slot>*> witness_;  // R_i
-  std::vector<std::vector<SwsrT<HelpTuple>*>> channel_;  // R_ij
-  std::vector<SwmrT<RoundCounter>*> round_;  // C_k
-
-  std::vector<HelpState> help_state_;
+  Help help_;                          // R_ij, C_k and helper state
 };
 
 }  // namespace swsig::core

@@ -29,13 +29,14 @@ using SeqNo = std::uint64_t;
 // precondition n > 3f (and basic sanity n >= 2, f >= 0). The impossibility
 // experiment (T5) constructs systems with n <= 3f on purpose; it passes
 // `allow_suboptimal = true` to document that it is deliberately stepping
-// outside the guaranteed envelope.
-inline void check_resilience(int n, int f, bool allow_suboptimal = false) {
+// outside the guaranteed envelope. Returns n, for member initializers.
+inline int check_resilience(int n, int f, bool allow_suboptimal = false) {
   if (n < 2) throw std::invalid_argument("need at least 2 processes");
   if (f < 0) throw std::invalid_argument("f must be non-negative");
   if (!allow_suboptimal && n <= 3 * f)
     throw std::invalid_argument(
         "resilience violated: need n > 3f (pass allow_suboptimal to opt out)");
+  return n;
 }
 
 }  // namespace swsig::core

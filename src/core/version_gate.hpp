@@ -11,9 +11,10 @@
 //  * VersionedCache — per-register ⟨value, version⟩ cache for the Verify/
 //    Read wait loops: a retry pass re-reads only registers whose version
 //    changed instead of re-collecting all n from scratch.
-//  * aggregate version sums in help_round() — a helper first sums the
-//    versions of the registers that could create work for it and returns
-//    immediately when the sum is unchanged since its last completed round.
+//  * aggregate version sums before a help round (HelpChannels::wake in
+//    core/help_channels.hpp) — a helper first sums the versions of the
+//    registers that could create work for it and returns immediately when
+//    the sums are unchanged since its last completed round.
 //
 // Deterministic mode never takes these paths: skipping a read changes the
 // step sequence, and deterministic traces must stay byte-identical

@@ -122,6 +122,7 @@ class SwmrCore {
     T stored_val{};
   };
   struct ReadWait {
+    int reader = runtime::kNoProcess;  // the process that opened the read
     std::set<int> senders;
     // (sn, value_id) -> supporting processes
     std::map<std::pair<std::uint64_t, int>, std::set<int>> support;
@@ -324,7 +325,7 @@ class SwmrCore {
       {
         std::scoped_lock lock(mu_);
         rid = ++read_rid_;
-        reads_[rid];  // create wait slot
+        reads_[rid].reader = self;  // create wait slot
       }
       record_phase(obs::EventKind::kReadStart, self, reg_id_, owner_, rid,
                    static_cast<std::uint64_t>(support));
@@ -442,11 +443,15 @@ class SwmrCore {
     net.send(reply);
   }
 
-  // Client side of read_via: account a STATE reply.
+  // Client side of read_via: account a STATE reply. Read ids are only
+  // unique per register, and any process may send a READ carrying the rid
+  // another reader will use next, so a reply counts only toward the read
+  // opened by the process it was addressed to.
   void accept_state(const Message& m) {
     std::scoped_lock lock(mu_);
     auto it = reads_.find(m.sn);
     if (it == reads_.end()) return;  // reply to a finished/foreign read
+    if (it->second.reader != m.to) return;  // reply to another process
     const auto& [sn, val] =
         std::any_cast<const std::pair<std::uint64_t, T>&>(m.payload);
     if (!it->second.senders.insert(m.from).second) return;  // dup sender

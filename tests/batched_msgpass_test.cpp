@@ -21,6 +21,7 @@
 #include "msgpass/batched_space.hpp"
 #include "msgpass/emulated_swmr.hpp"
 #include "runtime/process.hpp"
+#include "authenticated_full_stack.hpp"
 
 namespace swsig::msgpass {
 namespace {
@@ -380,7 +381,14 @@ TEST(BatchedFullStack, VerifiableRegisterRunsUnchanged) {
   for (auto& t : helpers) t.request_stop();
 }
 
-// Algorithm 2 (sticky register): non-equivocation end to end, batched.
+// Algorithm 2 (authenticated register), batched: Write, Read, Verify of
+// written and unwritten values, and a linearizable recorded history.
+TEST(BatchedFullStack, AuthenticatedRegisterRunsUnchanged) {
+  BatchedEmulatedSpace space({.n = 4, .f = 1, .shards = 2, .batch_max = 4});
+  test_support::check_authenticated_register_over(space);
+}
+
+// Algorithm 3 (sticky register): non-equivocation end to end, batched.
 TEST(BatchedFullStack, StickyRegisterRunsUnchanged) {
   BatchedEmulatedSpace space({.n = 4, .f = 1, .shards = 2, .batch_max = 4});
   using Reg = core::StickyRegister<int, BatchedEmulatedSpace>;

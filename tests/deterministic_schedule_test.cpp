@@ -277,6 +277,99 @@ TEST(DeterminismRegression, TraceHashPinnedAcrossFastPathChanges) {
   EXPECT_EQ(pinned_trace(42), 7002199874767147162ULL);
 }
 
+// The same pin for Algorithm 2: Writes, Reads (each re-verifying the value
+// it selects) and Verifies of a written and a never-written value. This
+// pin and Algorithm 3's were captured while each register still carried
+// its own copy of the helping round (now core/help_channels.hpp).
+std::uint64_t pinned_authenticated_trace(std::uint64_t seed) {
+  runtime::Harness h(
+      {.deterministic = true,
+       .policy = std::make_shared<runtime::RandomPolicy>(seed)});
+  registers::Space space(h.controller());
+  core::AuthenticatedRegister<int> reg(space, {.n = 4, .f = 1, .v0 = 0});
+  std::atomic<int> ops_done{0};
+  bool verified_unwritten = true;
+
+  h.spawn(1, "op", [&](std::stop_token) {
+    reg.write(1);
+    reg.write(2);
+    ops_done.fetch_add(1);
+  });
+  h.spawn(2, "op", [&](std::stop_token) {
+    reg.verify(1);
+    reg.read();
+    ops_done.fetch_add(1);
+  });
+  h.spawn(3, "op", [&](std::stop_token) {
+    reg.read();
+    verified_unwritten = reg.verify(3);
+    ops_done.fetch_add(1);
+  });
+  for (int pid = 1; pid <= 4; ++pid) {
+    h.spawn(pid, "help", [&](std::stop_token) {
+      while (ops_done.load(std::memory_order_relaxed) < 3) reg.help_round();
+    });
+  }
+  h.start();
+  h.join();
+  EXPECT_FALSE(verified_unwritten) << "seed " << seed;
+  return h.trace_hash();
+}
+
+TEST(DeterminismRegression, AuthenticatedTraceHashPinned) {
+  EXPECT_EQ(pinned_authenticated_trace(1), 2801712004747452278ULL);
+  EXPECT_EQ(pinned_authenticated_trace(7), 9597425819493517956ULL);
+  EXPECT_EQ(pinned_authenticated_trace(42), 8576610261510010566ULL);
+}
+
+// The same pin for Algorithm 3: p2's first Read ends before the Write
+// starts (⊥: the full set⊥ path), p3 reads after the Write returned (v).
+std::uint64_t pinned_sticky_trace(std::uint64_t seed) {
+  runtime::Harness h(
+      {.deterministic = true,
+       .policy = std::make_shared<runtime::RandomPolicy>(seed)});
+  registers::Space space(h.controller());
+  core::StickyRegister<int> reg(space, {.n = 4, .f = 1});
+  // 1 = p2's first Read returned, 2 = the Write returned, 3 = all ops done.
+  std::atomic<int> phase{0};
+  std::atomic<int> ops_done{0};
+  std::optional<int> before_write = 0, after_write;
+
+  h.spawn(1, "op", [&](std::stop_token) {
+    while (phase.load() < 1) h.controller().step();
+    reg.write(5);
+    phase.store(2);
+    ops_done.fetch_add(1);
+  });
+  h.spawn(2, "op", [&](std::stop_token) {
+    before_write = reg.read();
+    phase.store(1);
+    reg.read();
+    ops_done.fetch_add(1);
+  });
+  h.spawn(3, "op", [&](std::stop_token) {
+    while (phase.load() < 2) h.controller().step();
+    after_write = reg.read();
+    ops_done.fetch_add(1);
+  });
+  for (int pid = 1; pid <= 4; ++pid) {
+    h.spawn(pid, "help", [&](std::stop_token) {
+      while (ops_done.load(std::memory_order_relaxed) < 3) reg.help_round();
+    });
+  }
+  h.start();
+  h.join();
+  EXPECT_FALSE(before_write.has_value()) << "seed " << seed;
+  EXPECT_EQ(after_write.value_or(-1), 5) << "seed " << seed;
+  return h.trace_hash();
+}
+
+TEST(DeterminismRegression, StickyTraceHashPinned) {
+  EXPECT_EQ(pinned_sticky_trace(1), 6776335839960485777ULL);
+  EXPECT_EQ(pinned_sticky_trace(7), 15851306943445020414ULL);
+  EXPECT_EQ(pinned_sticky_trace(42), 15075844870692082041ULL);
+}
+
 // Deterministic mode must never take the free-mode fast path.
 TEST(DeterminismRegression, DeterministicSpaceIsNotFreeMode) {
   runtime::Harness h(

@@ -129,6 +129,51 @@ TEST(EmulatedByzantine, GarbagePayloadsAreDropped) {
   EXPECT_EQ(reg.read(), 11);
 }
 
+// Holds every STATE reply: those to p4 until p2's read below is open, those
+// to p2 longer still.
+class HoldStateReplies final : public FaultInjector {
+ public:
+  FaultDecision on_deliver(const Message& m) override {
+    if (m.type != "STATE") return {};
+    if (m.to == 4) return {.delay = std::chrono::milliseconds(200)};
+    if (m.to == 2) return {.delay = std::chrono::milliseconds(600)};
+    return {};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+};
+
+// Read ids are per register, so a Byzantine p4 can open a read with the rid
+// p2's first read will use. It does so before write(11): the honest
+// servers' STATE replies to p4 carry the pre-write (0, 0), and they arrive
+// while p2's read is still waiting on its own. Counted toward p2's read,
+// they form an n−f quorum for 0 and the read returns a value older than a
+// completed write.
+template <typename SpaceT>
+void expect_read_ignores_replies_to_others(SpaceT& space, Network& net) {
+  auto& reg = space.template make_swmr<int>(1, 0, "r");
+  {
+    ThisProcess::Binder bind(4);
+    Message m;
+    m.reg = 0;
+    m.type = "READ";
+    m.sn = 1;  // p2's first rid
+    net.broadcast(m);
+  }
+  {
+    ThisProcess::Binder bind(1);
+    reg.write(11);
+  }
+  ThisProcess::Binder bind(2);
+  EXPECT_EQ(reg.read(), 11);
+}
+
+TEST(EmulatedByzantine, StateRepliesToAnotherReaderAreIgnored) {
+  HoldStateReplies hold;  // outlives the space that points at it
+  EmulatedSpace space({.n = 4, .f = 1, .retry = {.enabled = false}});
+  space.network().set_fault_injector(&hold);
+  expect_read_ignores_replies_to_others(space, space.network());
+}
+
 // Messages for unknown register ids are ignored (no out-of-bounds access).
 TEST(EmulatedByzantine, UnknownRegisterIdIgnored) {
   EmulatedSpace space({.n = 4, .f = 1});
@@ -425,6 +470,17 @@ TEST(BatchedByzantine, GarbagePayloadsAreDropped) {
   }
   ThisProcess::Binder bind(2);
   EXPECT_EQ(reg.read(), 11);
+}
+
+TEST(BatchedByzantine, StateRepliesToAnotherReaderAreIgnored) {
+  HoldStateReplies hold;  // outlives the space that points at it
+  BatchedEmulatedSpace space({.n = 4,
+                              .f = 1,
+                              .shards = 1,
+                              .batch_max = 4,
+                              .retry = {.enabled = false}});
+  space.shard(0).network().set_fault_injector(&hold);
+  expect_read_ignores_replies_to_others(space, space.shard(0).network());
 }
 
 // Messages for unknown register ids are ignored on the batched space too.

@@ -25,6 +25,7 @@
 #include "msgpass/witness_broadcast.hpp"
 #include "runtime/harness.hpp"
 #include "runtime/process.hpp"
+#include "authenticated_full_stack.hpp"
 
 namespace swsig::msgpass {
 namespace {
@@ -560,6 +561,13 @@ TEST(FullStack, VerifiableRegisterOverMessagePassing) {
   }
   stop = true;
   for (auto& t : helpers) t.request_stop();
+}
+
+// Algorithm 2 over message passing: every Write is signed by the step that
+// publishes it, and the recorded history is linearizable.
+TEST(FullStack, AuthenticatedRegisterOverMessagePassing) {
+  EmulatedSpace space({.n = 4, .f = 1});
+  test_support::check_authenticated_register_over(space);
 }
 
 // Sticky register over message passing: non-equivocation end to end.
